@@ -435,6 +435,7 @@ fn worker_session<C: Connection>(
         // Execute and stream the batch in acknowledgement windows; each
         // window is journaled by the coordinator before it is acked.
         for window in jobs.chunks(ack_window) {
+            cache.prime_layers(window);
             let measured = run_indexed(window.len(), config.parallelism, |i| {
                 execute_cell(
                     cache,

@@ -305,3 +305,34 @@ fn custom_cross_product_scenario_is_bit_identical_to_serial() {
         serial.cells[1].accuracy.to_bits()
     );
 }
+
+#[test]
+fn layer_netlist_grid_is_bit_identical_to_serial() {
+    // Each worker primes its baseline cache's layer memo per ack window
+    // and reads every transient from it; the merge must still equal the
+    // serial engine's bits.
+    let parsed = neurofi_dist::parse_campaign_text(
+        "name = layer\n\
+         setup = bench\n\
+         attack = vdd\n\
+         axis vdd = 0.8, 1\n\
+         axis neurons = 1, 2\n\
+         seeds = 42\n\
+         transfer = paper\n",
+    )
+    .unwrap();
+    let campaign = parsed.into_named("layer");
+    let serial = campaign.spec.run_serial().unwrap();
+    assert_eq!(serial.cells.len(), 4);
+    let distinct: std::collections::HashSet<u64> = serial
+        .cells
+        .iter()
+        .map(|c| c.relative_change_percent.to_bits())
+        .collect();
+    assert!(distinct.len() >= 2, "layer surface is flat");
+
+    let report = run_local_cluster(&LocalClusterConfig::multi(vec![campaign], 2)).unwrap();
+    let sweep = &report.run.campaigns[0];
+    assert_bit_identical(&sweep.result, &serial);
+    assert_eq!(sweep.computed_cells, serial.cells.len());
+}
