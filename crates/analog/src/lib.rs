@@ -25,6 +25,9 @@
 //! The characterisation results feed the behavioural attack models in
 //! `neurofi-core` through [`transfer::PowerTransferTable`].
 //!
+//! No unordered collections, no clocks: the crate is part of the
+//! workspace determinism zone enforced by `repro-lint`.
+//!
 //! ## Example: measure the driver's VDD sensitivity (paper Fig. 5b)
 //!
 //! ```

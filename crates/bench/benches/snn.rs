@@ -9,11 +9,12 @@ use std::hint::black_box;
 fn bench_poisson_encoding(c: &mut Criterion) {
     let image = SynthDigits::default().generate(1, 3);
     let mut encoder = PoissonEncoder::new(128.0, 1.0, 1);
-    let mut buffer = vec![0.0f32; 784];
+    encoder.set_image(black_box(image.image(0)));
+    let mut spikes = Vec::new();
     c.bench_function("poisson_encode_784px_step", |b| {
         b.iter(|| {
-            encoder.encode_step_into(black_box(image.image(0)), &mut buffer);
-            black_box(buffer[0])
+            encoder.encode_step(&mut spikes);
+            black_box(spikes.len())
         })
     });
 }
@@ -22,11 +23,12 @@ fn bench_network_step(c: &mut Criterion) {
     let image = SynthDigits::default().generate(1, 3);
     let mut net = DiehlCook2015::new(DiehlCookConfig::default(), 7);
     let mut encoder = PoissonEncoder::new(128.0, 1.0, 1);
-    let mut buffer = vec![0.0f32; 784];
+    encoder.set_image(image.image(0));
+    let mut spikes = Vec::new();
     c.bench_function("diehl_cook_step", |b| {
         b.iter(|| {
-            encoder.encode_step_into(image.image(0), &mut buffer);
-            net.step(black_box(&buffer));
+            encoder.encode_step(&mut spikes);
+            net.step(black_box(&spikes));
         })
     });
 }

@@ -371,17 +371,18 @@ fn time_diehl_cook_step_ns() -> f64 {
     let image = SynthDigits::default().generate(1, 3);
     let mut net = DiehlCook2015::new(DiehlCookConfig::default(), 7);
     let mut encoder = PoissonEncoder::new(128.0, 1.0, 1);
-    let mut buffer = vec![0.0f32; 784];
+    encoder.set_image(image.image(0));
+    let mut spikes = Vec::new();
     // Warm up trained-ish state so sparsity is realistic.
     for _ in 0..200 {
-        encoder.encode_step_into(image.image(0), &mut buffer);
-        net.step(&buffer);
+        encoder.encode_step(&mut spikes);
+        net.step(&spikes);
     }
     let iters = 3000u32;
     let start = Instant::now();
     for _ in 0..iters {
-        encoder.encode_step_into(image.image(0), &mut buffer);
-        net.step(&buffer);
+        encoder.encode_step(&mut spikes);
+        net.step(&spikes);
     }
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }

@@ -15,6 +15,10 @@
 //! [`idx::load_mnist_dir`]; every consumer in this workspace accepts either
 //! source through the common [`dataset::LabeledImages`] container.
 //!
+//! Every image is a pure function of its seed: no unordered collections,
+//! no clocks. The crate is part of the workspace determinism zone
+//! enforced by `repro-lint`.
+//!
 //! ```
 //! use neurofi_data::synth::SynthDigits;
 //!

@@ -22,6 +22,27 @@
 //!
 //! [`begin_batch`]: DiehlCook2015::begin_batch
 //! [`end_batch`]: DiehlCook2015::end_batch
+//!
+//! ## Event-driven input path
+//!
+//! The 784-wide input layer carries each step's spikes as an ascending
+//! list of spiking channel indices, from the encoder to the weight
+//! update, because only about 20 channels fire per step:
+//!
+//! * [`PoissonEncoder`] draws only over the image's nonzero pixels
+//!   (collected once per presentation) and emits the list;
+//! * [`InputLayer::set_spikes`] decays every trace in one vectorised
+//!   pass, then sets the listed channels' traces to 1;
+//! * [`DenseConnection::forward_into`] adds the listed weight rows;
+//! * [`PostPreStdp::update`] and [`PostPreStdp::accumulate`] run the
+//!   depression and the row clamp over the listed rows only.
+//!
+//! This is bit-identical to scanning all 784 channels with a dense 0/1
+//! vector: a dense scan skips exactly the non-spiking channels and visits
+//! the spiking ones in ascending order, and a spike of 1.0 multiplies
+//! exactly, so every weight, current and trace sees the same float
+//! operations in the same order. The 100-neuron excitatory and
+//! inhibitory layers stay dense.
 
 use crate::encoding::PoissonEncoder;
 use crate::learning::PostPreStdp;
@@ -129,7 +150,9 @@ pub struct DiehlCook2015 {
     // Scratch buffers reused across steps.
     exc_current: Vec<f32>,
     inh_current: Vec<f32>,
-    spike_buffer: Vec<f32>,
+    /// This step's input spikes (ascending channel indices), reused
+    /// across presentations.
+    input_spikes: Vec<usize>,
 }
 
 impl DiehlCook2015 {
@@ -179,7 +202,7 @@ impl DiehlCook2015 {
             pending_deltas: None,
             exc_current: vec![0.0; n_exc],
             inh_current: vec![0.0; n_inh],
-            spike_buffer: vec![0.0; n_in],
+            input_spikes: Vec::with_capacity(n_in),
         }
     }
 
@@ -193,18 +216,20 @@ impl DiehlCook2015 {
         (self.config.sample_time_ms / self.config.dt_ms).round() as usize
     }
 
-    /// Advances the network one step with the given input spikes
-    /// (synchronous update: layer inputs are computed from the previous
-    /// step's spikes before any layer advances).
+    /// Advances the network one step with the given input spikes, the
+    /// ascending indices of the spiking input channels (synchronous
+    /// update: layer inputs are computed from the previous step's spikes
+    /// before any layer advances).
     ///
     /// # Panics
-    /// Panics if `input_spikes.len() != config.n_input`.
-    pub fn step(&mut self, input_spikes: &[f32]) {
+    /// Panics unless `input_spikes` is strictly ascending with every
+    /// index below `config.n_input`.
+    pub fn step(&mut self, input_spikes: &[usize]) {
         self.input.set_spikes(input_spikes);
 
         self.exc_current.fill(0.0);
         self.input_to_exc
-            .forward_into(&self.input.spikes, &mut self.exc_current);
+            .forward_into(input_spikes, &mut self.exc_current);
         self.inh_to_exc
             .forward_into(&self.inhibitory.spikes, &mut self.exc_current);
 
@@ -220,14 +245,14 @@ impl DiehlCook2015 {
                 Some(deltas) => self.config.stdp.accumulate(
                     &self.input_to_exc,
                     deltas,
-                    &self.input.spikes,
+                    input_spikes,
                     &self.input.traces,
                     &self.excitatory.spikes,
                     &self.excitatory.traces,
                 ),
                 None => self.config.stdp.update(
                     &mut self.input_to_exc,
-                    &self.input.spikes,
+                    input_spikes,
                     &self.input.traces,
                     &self.excitatory.spikes,
                     &self.excitatory.traces,
@@ -284,19 +309,20 @@ impl DiehlCook2015 {
         // Per-sample deterministic encoding stream.
         self.encoder
             .reseed(self.seed ^ self.samples_seen.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        self.encoder.set_image(image);
         self.samples_seen += 1;
 
         let steps = self.steps_per_sample();
         let mut counts = vec![0.0f32; self.config.n_excitatory];
-        let mut spikes = std::mem::take(&mut self.spike_buffer);
+        let mut spikes = std::mem::take(&mut self.input_spikes);
         for _ in 0..steps {
-            self.encoder.encode_step_into(image, &mut spikes);
+            self.encoder.encode_step(&mut spikes);
             self.step(&spikes);
             for (c, &s) in counts.iter_mut().zip(&self.excitatory.spikes) {
                 *c += s;
             }
         }
-        self.spike_buffer = spikes;
+        self.input_spikes = spikes;
         counts
     }
 

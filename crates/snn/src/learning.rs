@@ -53,19 +53,21 @@ impl PostPreStdp {
     }
 
     /// Applies one step of plasticity to `conn` given this step's spikes
-    /// and the (already-updated) traces, then clamps weights.
+    /// and the (already-updated) traces, then clamps weights. The
+    /// presynaptic spikes are the ascending indices of the spiking input
+    /// channels; the postsynaptic spikes are dense (1.0 = spike).
     ///
     /// # Panics
-    /// Panics if slice lengths disagree with the connection shape.
+    /// Panics if slice lengths disagree with the connection shape, or a
+    /// presynaptic index is out of bounds.
     pub fn update(
         &self,
         conn: &mut DenseConnection,
-        pre_spikes: &[f32],
+        pre_spikes: &[usize],
         pre_traces: &[f32],
         post_spikes: &[f32],
         post_traces: &[f32],
     ) {
-        assert_eq!(pre_spikes.len(), conn.w.rows(), "pre spike length mismatch");
         assert_eq!(pre_traces.len(), conn.w.rows(), "pre trace length mismatch");
         assert_eq!(
             post_spikes.len(),
@@ -80,25 +82,23 @@ impl PostPreStdp {
 
         // The result must equal "apply every update, then clamp the whole
         // matrix" (the original semantics), but the work must scale with
-        // spike sparsity. Depression runs first and unclamped; the
-        // potentiation clamp fuses into the strided column walk it already
-        // pays for (each entry sees its row update before its column
-        // update, and re-clamping is idempotent, so this is bit-identical);
-        // finally the touched rows get one contiguous clamp pass. The
-        // depression delta is staged once per step in a buffer owned by
-        // the connection — the hot loop never allocates.
+        // spike sparsity. Depression runs first and unclamped over the
+        // listed rows; the potentiation clamp fuses into the strided
+        // column walk it already pays for (each entry sees its row update
+        // before its column update, and re-clamping is idempotent, so
+        // this is bit-identical); finally the listed rows get one
+        // contiguous clamp pass. The depression delta is staged once per
+        // step in a buffer owned by the connection — the hot loop never
+        // allocates.
         let (lo, hi) = (conn.w_min, conn.w_max);
-        let mut any_pre = false;
-        if pre_spikes.iter().any(|&s| s > 0.0) {
+        let any_pre = !pre_spikes.is_empty();
+        if any_pre {
             let delta = &mut conn.depression_scratch;
             for (d, &t) in delta.iter_mut().zip(post_traces) {
                 *d = -self.nu_pre * t;
             }
-            for (i, &s) in pre_spikes.iter().enumerate() {
-                if s > 0.0 {
-                    conn.w.add_into_row(i, &conn.depression_scratch);
-                    any_pre = true;
-                }
+            for &i in pre_spikes {
+                conn.w.add_into_row(i, &conn.depression_scratch);
             }
         }
         let mut any_post = false;
@@ -116,11 +116,9 @@ impl PostPreStdp {
             if any_pre || any_post {
                 conn.clamp_weights();
             }
-        } else if any_pre {
-            for (i, &s) in pre_spikes.iter().enumerate() {
-                if s > 0.0 {
-                    conn.w.clamp_row(i, lo, hi);
-                }
+        } else {
+            for &i in pre_spikes {
+                conn.w.clamp_row(i, lo, hi);
             }
         }
     }
@@ -132,19 +130,18 @@ impl PostPreStdp {
     ///
     /// # Panics
     /// Panics if `deltas` or the slices disagree with the connection
-    /// shape.
+    /// shape, or a presynaptic index is out of bounds.
     pub fn accumulate(
         &self,
         conn: &DenseConnection,
         deltas: &mut crate::tensor::Matrix,
-        pre_spikes: &[f32],
+        pre_spikes: &[usize],
         pre_traces: &[f32],
         post_spikes: &[f32],
         post_traces: &[f32],
     ) {
         assert_eq!(deltas.rows(), conn.w.rows(), "delta shape mismatch");
         assert_eq!(deltas.cols(), conn.w.cols(), "delta shape mismatch");
-        assert_eq!(pre_spikes.len(), conn.w.rows(), "pre spike length mismatch");
         assert_eq!(pre_traces.len(), conn.w.rows(), "pre trace length mismatch");
         assert_eq!(
             post_spikes.len(),
@@ -156,10 +153,8 @@ impl PostPreStdp {
             conn.w.cols(),
             "post trace length mismatch"
         );
-        for (i, &s) in pre_spikes.iter().enumerate() {
-            if s > 0.0 {
-                deltas.add_scaled_into_row(i, -self.nu_pre, post_traces);
-            }
+        for &i in pre_spikes {
+            deltas.add_scaled_into_row(i, -self.nu_pre, post_traces);
         }
         for (j, &s) in post_spikes.iter().enumerate() {
             if s > 0.0 {
@@ -191,13 +186,7 @@ mod tests {
             nu_pre: 0.1,
             nu_post: 0.0,
         };
-        rule.update(
-            &mut c,
-            &[1.0, 0.0, 0.0],
-            &[0.0; 3],
-            &[0.0, 0.0],
-            &[1.0, 0.5],
-        );
+        rule.update(&mut c, &[0], &[0.0; 3], &[0.0, 0.0], &[1.0, 0.5]);
         assert!((c.w.get(0, 0) - 0.4).abs() < 1e-6);
         assert!((c.w.get(0, 1) - 0.45).abs() < 1e-6);
         // Non-spiking rows untouched.
@@ -211,13 +200,7 @@ mod tests {
             nu_pre: 0.0,
             nu_post: 0.2,
         };
-        rule.update(
-            &mut c,
-            &[0.0; 3],
-            &[1.0, 0.5, 0.0],
-            &[0.0, 1.0],
-            &[0.0, 0.0],
-        );
+        rule.update(&mut c, &[], &[1.0, 0.5, 0.0], &[0.0, 1.0], &[0.0, 0.0]);
         assert!((c.w.get(0, 1) - 0.7).abs() < 1e-6);
         assert!((c.w.get(1, 1) - 0.6).abs() < 1e-6);
         assert_eq!(c.w.get(2, 1), 0.5);
@@ -234,13 +217,7 @@ mod tests {
             nu_pre: 1.0,
             nu_post: 1.0,
         };
-        rule.update(
-            &mut c,
-            &[1.0, 1.0, 1.0],
-            &[1.0; 3],
-            &[1.0, 1.0],
-            &[1.0, 1.0],
-        );
+        rule.update(&mut c, &[0, 1, 2], &[1.0; 3], &[1.0, 1.0], &[1.0, 1.0]);
         for &w in c.w.as_slice() {
             assert!((0.48..=0.55).contains(&w), "weight {w} escaped clamp");
         }
@@ -250,7 +227,7 @@ mod tests {
     fn no_spikes_no_change() {
         let mut c = conn();
         let before = c.w.clone();
-        PostPreStdp::paper().update(&mut c, &[0.0; 3], &[1.0; 3], &[0.0; 2], &[1.0; 2]);
+        PostPreStdp::paper().update(&mut c, &[], &[1.0; 3], &[0.0; 2], &[1.0; 2]);
         assert_eq!(c.w, before);
     }
 
@@ -269,7 +246,7 @@ mod tests {
             nu_pre: 0.05,
             nu_post: 0.03,
         };
-        let pre_s = [1.0, 0.0, 1.0];
+        let pre_s = [0, 2];
         let pre_t = [1.0, 0.4, 0.2];
         let post_s = [0.0, 1.0];
         let post_t = [0.7, 0.1];
@@ -303,24 +280,12 @@ mod tests {
             nu_post: 0.01,
         };
         // Only row 0 / column 1 spike, yet every weight must be clamped.
-        rule.update(
-            &mut c,
-            &[1.0, 0.0, 0.0, 0.0],
-            &[1.0; 4],
-            &[0.0, 1.0, 0.0],
-            &[1.0; 3],
-        );
+        rule.update(&mut c, &[0], &[1.0; 4], &[0.0, 1.0, 0.0], &[1.0; 3]);
         for &w in c.w.as_slice() {
             assert!((c.w_min..=c.w_max).contains(&w), "weight {w} escaped clamp");
         }
         // Subsequent updates keep the invariant via the sparse path.
-        rule.update(
-            &mut c,
-            &[0.0, 1.0, 0.0, 0.0],
-            &[1.0; 4],
-            &[0.0, 0.0, 1.0],
-            &[1.0; 3],
-        );
+        rule.update(&mut c, &[1], &[1.0; 4], &[0.0, 0.0, 1.0], &[1.0; 3]);
         for &w in c.w.as_slice() {
             assert!(
                 (c.w_min..=c.w_max).contains(&w),
@@ -339,21 +304,9 @@ mod tests {
             nu_post: 0.01,
         };
         // Step 1: pre spike (post trace is zero — no depression).
-        rule.update(
-            &mut c,
-            &[1.0, 0.0, 0.0],
-            &[1.0, 0.0, 0.0],
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-        );
+        rule.update(&mut c, &[0], &[1.0, 0.0, 0.0], &[0.0, 0.0], &[0.0, 0.0]);
         // Step 2: post spike with decayed pre trace 0.9.
-        rule.update(
-            &mut c,
-            &[0.0; 3],
-            &[0.9, 0.0, 0.0],
-            &[1.0, 0.0],
-            &[1.0, 0.0],
-        );
+        rule.update(&mut c, &[], &[0.9, 0.0, 0.0], &[1.0, 0.0], &[1.0, 0.0]);
         assert!(c.w.get(0, 0) > 0.5, "causal pair should potentiate");
     }
 }

@@ -12,6 +12,10 @@
 //! configuration (784 inputs → 100 excitatory → 100 inhibitory, learning
 //! rates 4·10⁻⁴/2·10⁻⁴, one pass over 1000 images).
 //!
+//! All randomness derives from explicit seeds, and the crate uses no
+//! unordered collections and no clocks: it is part of the workspace
+//! determinism zone enforced by `repro-lint`.
+//!
 //! ## Fault hooks (the attack surface)
 //!
 //! The paper's power attacks corrupt two behavioural quantities, exposed

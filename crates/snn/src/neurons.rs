@@ -209,8 +209,6 @@ impl LifLayer {
 #[derive(Debug, Clone)]
 pub struct InputLayer {
     trace_decay: f32,
-    /// Spike indicator for the current step.
-    pub spikes: Vec<f32>,
     /// Synaptic traces.
     pub traces: Vec<f32>,
 }
@@ -228,40 +226,40 @@ impl InputLayer {
         );
         InputLayer {
             trace_decay: (-dt_ms / tau_trace).exp(),
-            spikes: vec![0.0; n],
             traces: vec![0.0; n],
         }
     }
 
     /// Number of channels.
     pub fn len(&self) -> usize {
-        self.spikes.len()
+        self.traces.len()
     }
 
     /// True when empty (cannot happen post-construction).
     pub fn is_empty(&self) -> bool {
-        self.spikes.is_empty()
+        self.traces.is_empty()
     }
 
-    /// Loads this step's spikes and updates traces.
+    /// Updates traces for this step's spikes, given as the ascending
+    /// indices of the spiking channels: every trace decays in one
+    /// vectorised pass, then the spiking channels' traces reset to 1.
     ///
     /// # Panics
-    /// Panics if `spikes.len() != len()`.
-    pub fn set_spikes(&mut self, spikes: &[f32]) {
-        assert_eq!(spikes.len(), self.len(), "spike length mismatch");
-        // Fused decay-and-load in one branch-free pass (the select
-        // vectorises): traces of spiking channels reset to 1, the rest
-        // decay — identical to a decay pass followed by spike loading.
-        for ((trace, out), &s) in self.traces.iter_mut().zip(&mut self.spikes).zip(spikes) {
-            *out = s;
-            let decayed = *trace * self.trace_decay;
-            *trace = if s > 0.0 { 1.0 } else { decayed };
+    /// Panics unless `spikes` is strictly ascending and every index is
+    /// below [`len`](InputLayer::len).
+    pub fn set_spikes(&mut self, spikes: &[usize]) {
+        assert!(
+            spikes.windows(2).all(|pair| pair[0] < pair[1]),
+            "spike indices must be strictly ascending"
+        );
+        decay(&mut self.traces, self.trace_decay);
+        for &i in spikes {
+            self.traces[i] = 1.0;
         }
     }
 
-    /// Clears spikes and traces.
+    /// Clears the traces.
     pub fn reset_state(&mut self) {
-        self.spikes.fill(0.0);
         self.traces.fill(0.0);
     }
 }
@@ -422,12 +420,26 @@ mod tests {
     #[test]
     fn input_layer_traces() {
         let mut input = InputLayer::new(3, 20.0, 1.0);
-        input.set_spikes(&[1.0, 0.0, 0.0]);
+        input.set_spikes(&[0]);
         assert_eq!(input.traces[0], 1.0);
-        input.set_spikes(&[0.0, 1.0, 0.0]);
-        assert!(input.traces[0] < 1.0);
+        input.set_spikes(&[1]);
+        assert_eq!(input.traces[0], (-1.0f32 / 20.0).exp());
         assert_eq!(input.traces[1], 1.0);
+        input.set_spikes(&[0, 2]);
+        assert_eq!(input.traces, vec![1.0, (-1.0f32 / 20.0).exp(), 1.0]);
         input.reset_state();
         assert_eq!(input.traces, vec![0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn input_layer_rejects_unsorted_spikes() {
+        InputLayer::new(3, 20.0, 1.0).set_spikes(&[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn input_layer_rejects_out_of_range_spikes() {
+        InputLayer::new(3, 20.0, 1.0).set_spikes(&[3]);
     }
 }

@@ -77,18 +77,18 @@ impl DenseConnection {
         self
     }
 
-    /// Accumulates postsynaptic currents from presynaptic spikes:
-    /// `out[post] += gain · Σ_{pre: spiking} w[pre][post]`.
+    /// Accumulates postsynaptic currents from presynaptic spikes, given
+    /// as the ascending indices of the spiking presynaptic neurons:
+    /// `out[post] += gain · w[pre][post]` for each listed `pre`, in list
+    /// order.
     ///
     /// # Panics
-    /// Panics if slice lengths do not match the matrix shape.
-    pub fn forward_into(&self, pre_spikes: &[f32], out: &mut [f32]) {
-        assert_eq!(pre_spikes.len(), self.w.rows(), "pre spike length mismatch");
+    /// Panics if `out.len()` does not match the matrix shape or an index
+    /// is out of bounds.
+    pub fn forward_into(&self, pre_spikes: &[usize], out: &mut [f32]) {
         assert_eq!(out.len(), self.w.cols(), "output length mismatch");
-        for (pre, &s) in pre_spikes.iter().enumerate() {
-            if s > 0.0 {
-                self.w.add_row_into(pre, s * self.gain, out);
-            }
+        for &pre in pre_spikes {
+            self.w.add_row_into(pre, self.gain, out);
         }
     }
 
@@ -200,7 +200,7 @@ mod tests {
         conn.w.set(0, 1, 0.25);
         conn.w.set(2, 0, 1.0);
         let mut out = vec![0.0f32; 2];
-        conn.forward_into(&[1.0, 0.0, 1.0], &mut out);
+        conn.forward_into(&[0, 2], &mut out);
         assert_eq!(out, vec![1.5, 0.25]);
     }
 
@@ -210,7 +210,7 @@ mod tests {
         conn.w.set(0, 0, 1.0);
         conn.gain = 0.68; // the paper's VDD=0.8 drive scale
         let mut out = vec![0.0f32; 2];
-        conn.forward_into(&[1.0, 0.0], &mut out);
+        conn.forward_into(&[0], &mut out);
         assert!((out[0] - 0.68).abs() < 1e-6);
         assert_eq!(conn.w.get(0, 0), 1.0, "weights must be untouched");
     }

@@ -61,13 +61,13 @@ proptest! {
     #[test]
     fn poisson_rate_concentrates(pixel in 1u8..=255) {
         let mut enc = PoissonEncoder::new(128.0, 1.0, 7);
-        let image = vec![pixel; 64];
+        enc.set_image(&[pixel; 64]);
         let steps = 3000;
         let mut count = 0u64;
-        let mut buf = vec![0.0f32; 64];
+        let mut spikes = Vec::new();
         for _ in 0..steps {
-            enc.encode_step_into(&image, &mut buf);
-            count += buf.iter().filter(|&&s| s > 0.0).count() as u64;
+            enc.encode_step(&mut spikes);
+            count += spikes.len() as u64;
         }
         let p_hat = count as f64 / (steps as f64 * 64.0);
         let p = pixel as f64 / 255.0 * 0.128;
@@ -83,7 +83,7 @@ proptest! {
     #[test]
     fn dense_gain_is_linear(gain in 0.1f32..3.0, seed in any::<u64>()) {
         let conn = DenseConnection::random(30, 10, 0.3, 0.0, 1.0, seed);
-        let spikes: Vec<f32> = (0..30).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
+        let spikes: Vec<usize> = (0..30).step_by(3).collect();
         let mut base = vec![0.0f32; 10];
         conn.forward_into(&spikes, &mut base);
         let mut scaled_conn = conn.clone();
